@@ -84,6 +84,17 @@ type CEAR struct {
 	cacheEpoch []uint32
 	epoch      uint32
 
+	// Cross-request energy-price memo: unitMemo[sat][t] is the
+	// per-joule price of satellite sat's deficit at slot t (NaN until
+	// priced), valid while the battery's version equals memoVer[sat].
+	// Between two requests almost no battery changes, so most deficit
+	// walks price every slot from the memo instead of the LUT. A row is
+	// allocated when its satellite is first priced. unitFn is the bound
+	// price function, nil for CEAR-NE (which keeps no memo).
+	unitMemo [][]float64
+	memoVer  []uint64
+	unitFn   func(lambda float64) float64
+
 	// Routing fast-path state: the pooled search scratch, a reusable
 	// consumption buffer, and the cost/transit functions bound once at
 	// construction (method values, so the per-slot loop allocates no
@@ -141,6 +152,11 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 	}
 	c.edgeFn = c.priceEdgeCost
 	c.transitFn = c.priceTransit
+	if !opts.DisableEnergyPricing {
+		c.unitFn = c.energyUnitPrice
+		c.unitMemo = make([][]float64, state.Provider().NumSats())
+		c.memoVer = make([]uint64, state.Provider().NumSats())
+	}
 	if reg := opts.Obs; reg != nil {
 		c.ctrEvaluations = reg.Counter("core.admission.evaluations")
 		c.ctrAccepted = reg.Counter("core.admission.accepted")
@@ -216,19 +232,19 @@ func (c *CEAR) energyTransitCost(sat, slot int, joules float64) float64 {
 		defer pricingTimer(in.PricingNanos, time.Now())
 	}
 	b := c.state.Battery(sat)
-	capJ := b.CapacityJ()
-	cost := 0.0
-	feasible := true
-	b.VisitDeficit(slot, joules, func(t int, outstanding float64) bool {
-		if b.DeficitAt(t)+outstanding > capJ*(1+1e-12) {
-			feasible = false
-			return false
+	var row []float64
+	var ver *uint64
+	if c.unitFn != nil {
+		row, ver = c.unitMemo[sat], &c.memoVer[sat]
+		if row == nil {
+			// A fresh row matches no version, so DeficitCost NaN-fills
+			// it before use.
+			row = make([]float64, b.Horizon())
+			c.unitMemo[sat] = row
+			*ver = math.MaxUint64
 		}
-		if !c.opts.DisableEnergyPricing {
-			cost += c.energyUnitPrice(b.UtilizationAt(t)) * outstanding
-		}
-		return true
-	})
+	}
+	cost, feasible := b.DeficitCost(slot, joules, row, ver, c.unitFn)
 	if !feasible {
 		c.state.NoteDepletedSat(sat)
 		return math.Inf(1)

@@ -32,6 +32,11 @@ type Battery struct {
 	// run with clamp=false and enforce b_s(T) >= 0 (constraint (7c)).
 	clamp bool
 	instr *Instruments
+	// ver counts ledger mutations (Consume, ConsumeTraced, Refund,
+	// CopyFrom). Anything derived from the ledger — CEAR's per-slot
+	// energy-price memo, a prepared reservation's snapshot — is valid
+	// exactly while the version it was taken at is current.
+	ver uint64
 }
 
 // NewBattery builds a ledger with the given capacity (joules) and
@@ -63,6 +68,13 @@ func NewBattery(capacityJ float64, solarInputJ []float64, clamp bool) (*Battery,
 // advances. Plain field write: attach before the run starts. Clones
 // inherit the handle, so trial ledgers count into the same registry.
 func (b *Battery) Instrument(in *Instruments) { b.instr = in }
+
+// Version returns the ledger's mutation count. Every call that changes
+// solarRemaining or deficit advances it, so two reads returning the
+// same version bracket an unchanged ledger. A restore (CopyFrom) also
+// advances it: versions never run backwards, even when the contents
+// do.
+func (b *Battery) Version() uint64 { return b.ver }
 
 // Horizon returns the number of slots the ledger covers.
 func (b *Battery) Horizon() int { return len(b.deficit) }
@@ -132,21 +144,101 @@ func (b *Battery) SolarRemainingAt(t int) float64 {
 // second term sums price(t)·Ω̄(ta,t) over the deficit's lifetime) and
 // feasibility checks.
 func (b *Battery) VisitDeficit(ta int, joules float64, fn func(t int, outstanding float64) bool) {
-	b.instr.countDeficitWalk()
 	if joules <= 0 || ta < 0 || ta >= len(b.deficit) {
+		b.instr.countDeficitWalk(0)
 		return
 	}
+	steps := 0
 	remaining := joules
 	for t := ta; t < len(b.deficit); t++ {
+		steps++
 		if solar := b.solarRemaining[t]; solar < remaining {
 			remaining -= solar
 		} else {
-			return
+			break
 		}
 		if !fn(t, remaining) {
-			return
+			break
 		}
 	}
+	b.instr.countDeficitWalk(steps)
+}
+
+// DeficitCost is the closure-free pricing walk behind the second term
+// of Eq. (12): Σ_{t ≥ ta} unit(t) · Ω̄(ta, t), where Ω̄ is the deficit
+// profile VisitDeficit walks and unit(t) = unitPrice(λ(t)) is the
+// per-joule energy price at slot t's committed utilization. ok is false
+// (and cost zero) when the consumption would breach capacity at some
+// slot, the same (1+1e-12)-tolerant test CEAR's feasibility mask has
+// always applied. A nil unitPrice only checks feasibility; memo and
+// memoVer are then unused and may be nil.
+//
+// memo is the caller's per-slot unit-price row for this battery (one
+// float64 per slot, NaN meaning "not priced yet") and memoVer the
+// ledger version the row was filled at. unit(t) depends only on
+// deficit[t], so a row stays exact until the ledger mutates: on a
+// version mismatch the row is reset to NaN and refilled lazily, and
+// unitPrice runs only for slots not priced since the last mutation.
+//
+// The float operations — the solar < remaining test, the subtraction,
+// the capacity test, then cost += unit(t)·outstanding — are those of
+// VisitDeficit plus the pricing closure it replaces, in the same order,
+// so the result is bit-identical to the closure form.
+func (b *Battery) DeficitCost(ta int, joules float64, memo []float64, memoVer *uint64, unitPrice func(lambda float64) float64) (cost float64, ok bool) {
+	if joules <= 0 || ta < 0 || ta >= len(b.deficit) {
+		b.instr.countDeficitWalk(0)
+		return 0, true
+	}
+	if unitPrice != nil && *memoVer != b.ver {
+		nan := math.NaN()
+		for i := range memo {
+			memo[i] = nan
+		}
+		*memoVer = b.ver
+	}
+	// Slot ta onwards, resliced to one length so the loops run without
+	// bounds checks.
+	solar := b.solarRemaining[ta:]
+	deficit := b.deficit[ta:][:len(solar)]
+	limit := b.capacityJ * (1 + 1e-12)
+	ok = true
+	remaining := joules
+	i := 0
+	if unitPrice == nil {
+		for ; i < len(solar); i++ {
+			if solar[i] < remaining {
+				remaining -= solar[i]
+			} else {
+				break
+			}
+			if deficit[i]+remaining > limit {
+				ok = false
+				break
+			}
+		}
+	} else {
+		row := memo[ta:][:len(solar)]
+		for ; i < len(solar); i++ {
+			if solar[i] < remaining {
+				remaining -= solar[i]
+			} else {
+				break
+			}
+			if deficit[i]+remaining > limit {
+				cost, ok = 0, false
+				break
+			}
+			u := row[i]
+			if math.IsNaN(u) { // first use since the last mutation
+				u = unitPrice(b.UtilizationAt(ta + i))
+				row[i] = u
+			}
+			cost += u * remaining
+		}
+	}
+	// Steps examined: the slots walked plus the one that ended the walk.
+	b.instr.countDeficitWalk(min(i+1, len(solar)))
+	return cost, ok
 }
 
 // Feasible reports whether consuming `joules` in slot ta keeps the
@@ -213,6 +305,7 @@ func (b *Battery) Consume(ta int, joules float64) error {
 	}
 
 	b.instr.countConsume()
+	b.ver++
 	remaining := joules
 	for t := ta; t < len(b.deficit); t++ {
 		absorb := math.Min(remaining, b.solarRemaining[t])
@@ -238,9 +331,10 @@ func (b *Battery) Consume(ta int, joules float64) error {
 	return nil
 }
 
-// Clone returns an independent deep copy of the ledger. CEAR uses clones
-// to trial-apply a candidate reservation plan (whose slots interact
-// through this very ledger) before committing it.
+// Clone returns an independent deep copy of the ledger, version
+// included. CEAR uses clones to trial-apply a candidate reservation
+// plan (whose slots interact through this very ledger) before
+// committing it.
 func (b *Battery) Clone() *Battery {
 	solar := make([]float64, len(b.solarRemaining))
 	copy(solar, b.solarRemaining)
@@ -252,6 +346,7 @@ func (b *Battery) Clone() *Battery {
 		deficit:        deficit,
 		clamp:          b.clamp,
 		instr:          b.instr,
+		ver:            b.ver,
 	}
 }
 
@@ -259,7 +354,11 @@ func (b *Battery) Clone() *Battery {
 // receiver's backing arrays when they have capacity. The transaction
 // layer's snapshot arena uses it to snapshot and restore batteries
 // without allocating a fresh Battery per touched satellite per request.
+// Like any mutation it advances the receiver's version: a restored
+// ledger never reuses a version some memo was stamped with while the
+// ledger held other contents.
 func (b *Battery) CopyFrom(src *Battery) {
+	b.ver++
 	b.capacityJ = src.capacityJ
 	b.solarRemaining = append(b.solarRemaining[:0], src.solarRemaining...)
 	b.deficit = append(b.deficit[:0], src.deficit...)
@@ -341,6 +440,7 @@ func (b *Battery) ConsumeTraced(ta int, joules float64, steps []ConsumeStep) ([]
 	}
 
 	b.instr.countConsume()
+	b.ver++
 	remaining := joules
 	for t := ta; t < len(b.deficit); t++ {
 		absorb := math.Min(remaining, b.solarRemaining[t])
@@ -377,6 +477,7 @@ func (b *Battery) Refund(st ConsumeStep) {
 	if st.Slot < 0 || st.Slot >= len(b.deficit) {
 		return
 	}
+	b.ver++
 	b.solarRemaining[st.Slot] += st.AbsorbedJ
 	if st.PostedJ != 0 {
 		d := b.deficit[st.Slot] - st.PostedJ

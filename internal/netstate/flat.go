@@ -331,8 +331,12 @@ func (v *FlatView) LinkKeyFor(from, to int) LinkKey {
 // which is equivalent for the max-utilization blame rule).
 func (v *FlatView) priceEdge(from, to int, class graph.EdgeClass) float64 {
 	key := v.LinkKeyFor(from, to)
-	capacity := v.state.linkCapacity(key)
-	used := v.state.LinkUsedMbps(key, v.slot)
+	return v.priceLink(key, class, v.state.linkCapacity(key), v.state.LinkUsedMbps(key, v.slot))
+}
+
+// priceLink masks a link whose residual bandwidth cannot carry the
+// demand and prices the rest; see priceEdge.
+func (v *FlatView) priceLink(key LinkKey, class graph.EdgeClass, capacity, used float64) float64 {
 	if used+v.demandMbps > capacity*(1+1e-12) {
 		v.state.noteBlockedLink(key, used/capacity)
 		return math.Inf(1)
@@ -342,13 +346,16 @@ func (v *FlatView) priceEdge(from, to int, class graph.EdgeClass) float64 {
 
 // islCost returns the priced cost of CSR edge idx (sat -> to), memoised
 // per view: the price only depends on committed state, which cannot
-// change mid-search, so the first computation is authoritative.
+// change mid-search, so the first computation is authoritative. The
+// reservation is read from the dense ISL ledger by edge id, with no key
+// lookup.
 func (v *FlatView) islCost(idx, sat, to int) float64 {
 	sc := v.sc
 	if sc.edgeStamp[idx] == sc.viewEpoch {
 		return sc.edgeCostVal[idx]
 	}
-	c := v.priceEdge(sat, to, graph.ClassISL)
+	isl := &v.state.isl
+	c := v.priceLink(MakeLinkKey(sat, to), graph.ClassISL, isl.capMbps, isl.at(v.slot, idx))
 	sc.edgeCostVal[idx] = c
 	sc.edgeStamp[idx] = sc.viewEpoch
 	return c

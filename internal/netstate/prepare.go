@@ -20,12 +20,12 @@ import (
 // single-phase Commit); Abort releases them.
 //
 // Abort is byte-identical to Rollback when the prepared batteries are
-// untouched since Prepare (snapshot restore, guarded by per-battery
-// version counters). When another reservation committed on the same
-// battery in between — the cluster's cross-shard interleavings — Abort
-// refunds the pinned consumption steps instead, releasing exactly the
-// solar/deficit this transaction claimed while preserving everyone
-// else's.
+// untouched since Prepare (snapshot restore, guarded by the battery's
+// mutation version, energy.Battery.Version). When another reservation
+// committed on the same battery in between — the cluster's cross-shard
+// interleavings — Abort refunds the pinned consumption steps instead,
+// releasing exactly the solar/deficit this transaction claimed while
+// preserving everyone else's.
 
 // ErrPreparedLeak is wrapped by CheckPreparedDrained when prepared
 // reservations are still outstanding at the end of a run — a
@@ -54,15 +54,7 @@ func (s *State) SetCommitInterceptor(fn CommitInterceptor) {
 // for Txn.Prepare. The recorded steps change no ledger arithmetic —
 // commits stay byte-identical — but cost a few appends per admission,
 // so the mode is opt-in and the batch simulator never pays it.
-func (s *State) EnableTwoPhase() {
-	if s.twoPhase {
-		return
-	}
-	s.twoPhase = true
-	if s.batVer == nil {
-		s.batVer = make([]uint64, len(s.batteries))
-	}
-}
+func (s *State) EnableTwoPhase() { s.twoPhase = true }
 
 // TwoPhaseEnabled reports whether Prepare is available on this state.
 func (s *State) TwoPhaseEnabled() bool { return s.twoPhase }
@@ -123,7 +115,7 @@ func (t *Txn) Prepare() (*Prepared, error) {
 		// Move the snapshot out of the arena: the next Begin re-clones
 		// lazily, and the snapshot stays frozen at this txn's pre-state.
 		p.snaps = append(p.snaps, a.snaps[sat])
-		p.vers = append(p.vers, s.batVer[sat])
+		p.vers = append(p.vers, s.batteries[sat].Version())
 		a.snaps[sat] = nil
 	}
 	s.prep.add(p)
@@ -182,7 +174,7 @@ func (p *Prepared) Abort() {
 		s.unreserveLink(r.key, r.slot, r.rate)
 	}
 	for i, sat := range p.touched {
-		if s.batVer[sat] == p.vers[i] && p.snaps[i] != nil {
+		if s.batteries[sat].Version() == p.vers[i] && p.snaps[i] != nil {
 			s.batteries[sat].CopyFrom(p.snaps[i])
 		} else {
 			for _, cr := range p.cons {
@@ -194,7 +186,6 @@ func (p *Prepared) Abort() {
 				}
 			}
 		}
-		s.batVer[sat]++
 	}
 }
 

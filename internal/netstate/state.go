@@ -115,11 +115,68 @@ type linkLedger struct {
 	used         []float64
 }
 
+// islLedger is the dense bandwidth ledger of the static ISL fabric:
+// rows[slot][e] is the bandwidth reserved on CSR edge e (see
+// topology.CSR) in that slot, so a search reads a link's reservation
+// by the edge id it is already iterating — no key hashing on the hot
+// path. A slot's row is allocated on its first ISL reservation (until
+// then every edge reads zero), which keeps state construction as cheap
+// as a map ledger's and spreads the allocation over the run. active[e]
+// marks edges that ever had a reservation attempted, the dense twin of
+// a map entry's existence.
+type islLedger struct {
+	csr       *topology.CSR
+	numSats   int
+	capMbps   float64
+	rows      [][]float64
+	active    []bool
+	numActive int
+}
+
+// edge resolves a link key to its CSR edge id: a scan of the source
+// satellite's row (at most four +Grid neighbours, never one twice, so
+// a key names exactly one cell). Keys with an endpoint that is not a
+// satellite (USLs), or satellite pairs the fabric does not connect,
+// report false and live in the sparse map.
+func (l *islLedger) edge(key LinkKey) (int, bool) {
+	from, to := key.From(), key.To()
+	if from < 0 || from >= l.numSats || to < 0 || to >= l.numSats {
+		return 0, false
+	}
+	for e, end := int(l.csr.Offsets[from]), int(l.csr.Offsets[from+1]); e < end; e++ {
+		if int(l.csr.To[e]) == to {
+			return e, true
+		}
+	}
+	return 0, false
+}
+
+// at returns the bandwidth reserved on edge e in slot, zero for a slot
+// outside the horizon.
+func (l *islLedger) at(slot, e int) float64 {
+	if slot < 0 || slot >= len(l.rows) || l.rows[slot] == nil {
+		return 0
+	}
+	return l.rows[slot][e]
+}
+
+// cell returns edge e's ledger cell in slot (which must be inside the
+// horizon), allocating the slot's row on first use.
+func (l *islLedger) cell(slot, e int) *float64 {
+	if l.rows[slot] == nil {
+		l.rows[slot] = make([]float64, l.csr.NumEdges())
+	}
+	return &l.rows[slot][e]
+}
+
 // State is the mutable resource state of one simulation run. It is not
 // safe for concurrent use; each run owns its State.
 type State struct {
 	prov      *topology.Provider
 	energyCfg EnergyConfig
+	// isl holds every ISL reservation; links holds the rest (USLs and
+	// any satellite pair outside the +Grid fabric), keyed by link.
+	isl       islLedger
 	links     map[LinkKey]*linkLedger
 	batteries []*energy.Battery
 	instr     stateInstruments
@@ -134,11 +191,7 @@ type State struct {
 	// SetCommitInterceptor is called.
 	twoPhase  bool
 	intercept CommitInterceptor
-	// batVer counts mutations per battery; a Prepared whose battery is
-	// unchanged since Prepare aborts by snapshot restore (bit-exact),
-	// otherwise by step refund.
-	batVer []uint64
-	prep   prepareLedger
+	prep      prepareLedger
 }
 
 // stateInstruments caches the state's observability handles. All nil
@@ -187,8 +240,9 @@ func (s *State) SetObs(reg *obs.Registry) {
 			PrunedLabels:      reg.Counter("graph.fastpath.pruned_labels"),
 		},
 		energy: &energy.Instruments{
-			DeficitWalks: reg.Counter("energy.deficit_walks"),
-			Consumptions: reg.Counter("energy.consumptions"),
+			DeficitWalks:     reg.Counter("energy.deficit_walks"),
+			DeficitWalkSteps: reg.Counter("energy.deficit_walk_steps"),
+			Consumptions:     reg.Counter("energy.consumptions"),
 		},
 	}
 	for _, b := range s.batteries {
@@ -232,9 +286,17 @@ func New(prov *topology.Provider, energyCfg EnergyConfig, clampBatteries bool) (
 	if err := energyCfg.Validate(); err != nil {
 		return nil, err
 	}
+	csr := prov.ISLCSR()
 	s := &State{
 		prov:      prov,
 		energyCfg: energyCfg,
+		isl: islLedger{
+			csr:     csr,
+			numSats: prov.NumSats(),
+			capMbps: prov.Config().ISLCapacityMbps,
+			rows:    make([][]float64, prov.Horizon()),
+			active:  make([]bool, csr.NumEdges()),
+		},
 		links:     make(map[LinkKey]*linkLedger),
 		batteries: make([]*energy.Battery, prov.NumSats()),
 	}
@@ -274,6 +336,9 @@ func (s *State) LinkCapacityMbps(key LinkKey) float64 { return s.linkCapacity(ke
 
 // LinkUsedMbps returns the bandwidth already reserved on a link in a slot.
 func (s *State) LinkUsedMbps(key LinkKey, slot int) float64 {
+	if e, ok := s.isl.edge(key); ok {
+		return s.isl.at(slot, e)
+	}
 	l := s.links[key]
 	if l == nil || slot < 0 || slot >= len(l.used) {
 		return 0
@@ -303,31 +368,69 @@ func (s *State) ReserveLink(key LinkKey, slot int, rateMbps float64) error {
 		return fmt.Errorf("netstate: slot %d outside horizon [0,%d)", slot, s.prov.Horizon())
 	}
 	cap := s.linkCapacity(key)
-	l := s.links[key]
-	if l == nil {
-		l = &linkLedger{capacityMbps: cap, used: make([]float64, s.prov.Horizon())}
-		s.links[key] = l
+	var used *float64
+	if e, ok := s.isl.edge(key); ok {
+		if !s.isl.active[e] {
+			s.isl.active[e] = true
+			s.isl.numActive++
+		}
+		used = s.isl.cell(slot, e)
+	} else {
+		l := s.links[key]
+		if l == nil {
+			l = &linkLedger{capacityMbps: cap, used: make([]float64, s.prov.Horizon())}
+			s.links[key] = l
+		}
+		used = &l.used[slot]
 	}
-	if l.used[slot]+rateMbps > cap*(1+1e-12) {
+	if *used+rateMbps > cap*(1+1e-12) {
 		return fmt.Errorf("netstate: link %d->%d over-subscribed at slot %d: %v + %v > %v",
-			key.From(), key.To(), slot, l.used[slot], rateMbps, cap)
+			key.From(), key.To(), slot, *used, rateMbps, cap)
 	}
-	l.used[slot] += rateMbps
+	*used += rateMbps
 	s.instr.linkReserves.Inc()
 	return nil
 }
 
 // NumActiveLinks returns the number of links with at least one
 // reservation anywhere in the horizon.
-func (s *State) NumActiveLinks() int { return len(s.links) }
+func (s *State) NumActiveLinks() int { return s.isl.numActive + len(s.links) }
 
 // CongestedLinkCount counts links whose remaining bandwidth in the slot
 // is below thresholdFrac of capacity — the paper's "congestion link
 // number" metric with thresholdFrac = 0.1.
 func (s *State) CongestedLinkCount(slot int, thresholdFrac float64) int {
+	return s.CongestedLinkCountFunc(slot, thresholdFrac, nil)
+}
+
+// CongestedLinkCountFunc is CongestedLinkCount restricted to links the
+// filter accepts (nil accepts all). A sharded cluster sweeps each
+// shard's state over the links that shard owns, so the merged per-slot
+// metric counts every link exactly once even though every shard tracks
+// a full-constellation ledger.
+func (s *State) CongestedLinkCountFunc(slot int, thresholdFrac float64, owned func(LinkKey) bool) int {
 	count := 0
-	for _, l := range s.links {
-		if slot < 0 || slot >= len(l.used) {
+	if slot >= 0 && slot < len(s.isl.rows) {
+		row := s.isl.rows[slot] // nil: no reservation, nothing congested
+		capMbps := s.isl.capMbps
+		csr := s.isl.csr
+		for from := 0; from < s.isl.numSats; from++ {
+			for e := int(csr.Offsets[from]); e < int(csr.Offsets[from+1]); e++ {
+				if !s.isl.active[e] || (owned != nil && !owned(MakeLinkKey(from, int(csr.To[e])))) {
+					continue
+				}
+				used := 0.0
+				if row != nil {
+					used = row[e]
+				}
+				if capMbps-used < thresholdFrac*capMbps {
+					count++
+				}
+			}
+		}
+	}
+	for key, l := range s.links {
+		if slot < 0 || slot >= len(l.used) || (owned != nil && !owned(key)) {
 			continue
 		}
 		if l.capacityMbps-l.used[slot] < thresholdFrac*l.capacityMbps {
@@ -355,24 +458,6 @@ func (s *State) DepletedSatCount(slot int, thresholdFrac float64) int {
 // telemetry layer. Allocation-free.
 func (s *State) EnergyDeficitJ(slot int) float64 {
 	return energy.SumDeficitJ(s.batteries, slot)
-}
-
-// CongestedLinkCountFunc is CongestedLinkCount restricted to links the
-// filter accepts. A sharded cluster sweeps each shard's state over the
-// links that shard owns, so the merged per-slot metric counts every
-// link exactly once even though every shard tracks a full-constellation
-// ledger.
-func (s *State) CongestedLinkCountFunc(slot int, thresholdFrac float64, owned func(LinkKey) bool) int {
-	count := 0
-	for key, l := range s.links {
-		if slot < 0 || slot >= len(l.used) || !owned(key) {
-			continue
-		}
-		if l.capacityMbps-l.used[slot] < thresholdFrac*l.capacityMbps {
-			count++
-		}
-	}
-	return count
 }
 
 // DepletedSatCountFunc is DepletedSatCount restricted to satellites the

@@ -13,8 +13,10 @@
 #
 # The JSON is an array of objects, one per measurement, in run order.
 # Micro-benchmark rows are {name, ns_per_op, bytes_per_op,
-# allocs_per_op}; the serving rows are {name, req_per_sec, p50_ms,
-# p99_ms} — "SpaceloadClosedLoop" with tracing and hot-spot tracking
+# allocs_per_op}, plus a per_request object ({ns, heap-pops,
+# deficit-walks, deficit-walk-steps, lut-lookups}) on the
+# BenchmarkCEARHandle* rows; the serving rows are {name, req_per_sec,
+# p50_ms, p99_ms} — "SpaceloadClosedLoop" with tracing and hot-spot tracking
 # off, "SpaceloadClosedLoopTraced" against spaced -trace-sample 1 with
 # an audit log (tracing overhead under full sampling),
 # "SpaceloadClosedLoopHotspots" with top-32 hot-spot tracking on
@@ -53,12 +55,30 @@ trap cleanup EXIT
 go test -run '^$' -bench "$ROOT_PATTERN" -benchmem -benchtime "$BENCHTIME" . | tee -a "$RAW"
 go test -run '^$' -bench "$GRAPH_PATTERN" -benchmem -benchtime "$BENCHTIME" ./internal/graph/ | tee -a "$RAW"
 
+# Fields are read by unit, not position: benchmarks that call
+# b.ReportMetric print extra "value unit" pairs between ns/op and B/op.
+# Those extras (the per-request figures of BenchmarkCEARHandle*) land
+# in a "per_request" object keyed by unit.
 awk '
   /^Benchmark/ && NF >= 8 {
     name = $1
     sub(/-[0-9]+$/, "", name)
-    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}\n", \
-      name, $3, $5, $7
+    ns = ""; bytes = ""; allocs = ""; extra = ""
+    for (i = 3; i < NF; i += 2) {
+      unit = $(i + 1)
+      if (unit == "ns/op") ns = $i
+      else if (unit == "B/op") bytes = $i
+      else if (unit == "allocs/op") allocs = $i
+      else {
+        sub(/\/request$/, "", unit)
+        extra = extra (extra == "" ? "" : ", ") sprintf("\"%s\": %s", unit, $i)
+      }
+    }
+    if (ns == "" || bytes == "" || allocs == "") next
+    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
+      name, ns, bytes, allocs
+    if (extra != "") printf ", \"per_request\": {%s}", extra
+    printf "}\n"
   }
 ' "$RAW" > "$ROWS"
 
