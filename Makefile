@@ -27,9 +27,8 @@ race:
 	$(GO) test -race ./internal/...
 
 # Full-module race gate, including the root-package integration tests
-# (parallel figure runners over the shared provider) and the
-# internal/cluster seeded multi-shard closed-loop run (concurrent shard
-# loops coordinating two-phase commits under the race detector).
+# (parallel figure runners over the shared provider) and the serving
+# layer's handler/engine-loop handoffs.
 check-race:
 	$(GO) test -race ./...
 
@@ -37,17 +36,15 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
 # Full fast-path benchmark suite plus the serving-layer closed-loop
-# measurements (baseline, traced, hot-spot tracked, and the -shards
-# {1,2,4,8} scaling sweep); writes BENCH_8.json (see EXPERIMENTS.md for
+# measurements (baseline, traced, hot-spot tracked); writes BENCH_8.json (see EXPERIMENTS.md for
 # the schema and scripts/bench.sh for knobs).
 bench:
 	./scripts/bench.sh
 
 # End-to-end serving smoke: build spaced + spaceload, run a short burst
 # against a live daemon, assert accepts, probe the hot-spot telemetry
-# endpoints, and require a clean SIGTERM drain; then repeat against a
-# two-shard cluster (stats shard section, cross-shard bookings, the
-# cluster.* report counters).
+# endpoints, and require a clean SIGTERM drain whose run report obsdiff
+# can read.
 smoke-spaced:
 	./scripts/smoke_spaced.sh
 

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"testing"
 
-	"spacebooking/internal/energy"
 	"spacebooking/internal/graph"
 	"spacebooking/internal/netstate"
 	"spacebooking/internal/obs"
@@ -361,9 +360,9 @@ func findBenchSlot(b *testing.B, env *Environment, pair workload.Pair) int {
 // BenchmarkDeficitVisit measures CEAR's deficit-pricing walk
 // (Battery.DeficitCost) over a deficit that persists through eclipse.
 // "warm" reuses a memo row priced by an earlier walk — the common case
-// between requests, when the battery has not changed; "cold" bumps the
-// battery's version first (a zero-rate refund), so every walk re-prices
-// each slot through the lookup table.
+// between requests, when the battery has not changed; "cold" stales the
+// row's version stamp first, as a ledger mutation would, so every walk
+// re-prices each slot through the lookup table.
 func BenchmarkDeficitVisit(b *testing.B) {
 	env := benchEnvironment(b)
 	state, err := netstate.New(env.Provider, PaperEnergyConfig(), false)
@@ -391,7 +390,7 @@ func BenchmarkDeficitVisit(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if mode == "cold" {
-					bat.Refund(energy.ConsumeStep{Slot: ta})
+					memoVer = math.MaxUint64
 				}
 				if _, ok := bat.DeficitCost(ta, 50000, memo, &memoVer, price); !ok {
 					b.Fatal("walk infeasible")

@@ -32,9 +32,8 @@ type Battery struct {
 	// run with clamp=false and enforce b_s(T) >= 0 (constraint (7c)).
 	clamp bool
 	instr *Instruments
-	// ver counts ledger mutations (Consume, ConsumeTraced, Refund,
-	// CopyFrom). Anything derived from the ledger — CEAR's per-slot
-	// energy-price memo, a prepared reservation's snapshot — is valid
+	// ver counts ledger mutations (Consume, CopyFrom). Anything derived
+	// from the ledger — CEAR's per-slot energy-price memo — is valid
 	// exactly while the version it was taken at is current.
 	ver uint64
 }
@@ -396,96 +395,6 @@ func (b *Battery) TrialConsume(ta int, joules float64) error {
 	}
 	b.instr.countConsume()
 	return nil
-}
-
-// ConsumeStep records one slot's ledger mutation made by ConsumeTraced:
-// AbsorbedJ was claimed from the slot's unclaimed solar input and
-// PostedJ was added to the slot's outstanding deficit. A traced
-// consumption is a sequence of steps the two-phase commit layer can
-// replay in reverse (Refund) to release a prepared reservation without
-// a full-ledger snapshot, even after other reservations committed on
-// the same battery in between.
-type ConsumeStep struct {
-	Slot      int
-	AbsorbedJ float64
-	PostedJ   float64
-}
-
-// ConsumeTraced is Consume with a mutation trace: every per-slot solar
-// absorption and deficit posting is appended to steps (grown as needed
-// and returned). The ledger mutation is exactly Consume's — same
-// checks, same instrument counts, same float operations in the same
-// order — so a traced commit is byte-identical to an untraced one.
-func (b *Battery) ConsumeTraced(ta int, joules float64, steps []ConsumeStep) ([]ConsumeStep, error) {
-	if joules < 0 || math.IsNaN(joules) {
-		return steps, fmt.Errorf("energy: invalid consumption %v", joules)
-	}
-	if joules == 0 {
-		return steps, nil
-	}
-	if ta < 0 || ta >= len(b.deficit) {
-		return steps, fmt.Errorf("energy: slot %d outside horizon [0,%d)", ta, len(b.deficit))
-	}
-	if !b.clamp && !b.Feasible(ta, joules) {
-		var failSlot int
-		var failDeficit float64
-		b.VisitDeficit(ta, joules, func(t int, outstanding float64) bool {
-			if b.deficit[t]+outstanding > b.capacityJ {
-				failSlot, failDeficit = t, b.deficit[t]+outstanding
-				return false
-			}
-			return true
-		})
-		return steps, &DepletionError{Slot: failSlot, DeficitJ: failDeficit, CapacityJ: b.capacityJ}
-	}
-
-	b.instr.countConsume()
-	b.ver++
-	remaining := joules
-	for t := ta; t < len(b.deficit); t++ {
-		absorb := math.Min(remaining, b.solarRemaining[t])
-		b.solarRemaining[t] -= absorb
-		remaining -= absorb
-		if remaining <= 0 {
-			steps = append(steps, ConsumeStep{Slot: t, AbsorbedJ: absorb})
-			return steps, nil
-		}
-		post := remaining
-		if b.clamp {
-			if post > b.capacityJ {
-				post = b.capacityJ
-				remaining = b.capacityJ
-			}
-			if b.deficit[t]+post > b.capacityJ {
-				post = b.capacityJ - b.deficit[t]
-			}
-		}
-		b.deficit[t] += post
-		steps = append(steps, ConsumeStep{Slot: t, AbsorbedJ: absorb, PostedJ: post})
-	}
-	return steps, nil
-}
-
-// Refund reverses one traced consumption step: the absorbed solar is
-// returned to its slot and the posted deficit removed (clamped at
-// zero against float dust). Refunding every step of a traced
-// consumption, in any order, releases exactly the resources that
-// consumption claimed — reservations committed in between are
-// untouched, which is what lets a prepared reservation abort after
-// concurrent commits on the same battery.
-func (b *Battery) Refund(st ConsumeStep) {
-	if st.Slot < 0 || st.Slot >= len(b.deficit) {
-		return
-	}
-	b.ver++
-	b.solarRemaining[st.Slot] += st.AbsorbedJ
-	if st.PostedJ != 0 {
-		d := b.deficit[st.Slot] - st.PostedJ
-		if d < 0 {
-			d = 0
-		}
-		b.deficit[st.Slot] = d
-	}
 }
 
 // SolarInputVector builds a per-slot solar input vector (joules per slot)

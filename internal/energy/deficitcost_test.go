@@ -38,8 +38,7 @@ type memoBattery struct {
 	b     *Battery
 	row   []float64
 	ver   uint64
-	snaps []*Battery      // earlier clones, restored via CopyFrom
-	trace [][]ConsumeStep // traced consumptions not yet refunded
+	snaps []*Battery // earlier clones, restored via CopyFrom
 }
 
 // TestDeficitCostMatchesClosureUnderMutation drives batteries through
@@ -113,36 +112,17 @@ func TestDeficitCostMatchesClosureUnderMutation(t *testing.T) {
 				before := mb.b.Version()
 				var op string
 				mutated := false
-				switch k := rng.Intn(6); k {
+				switch k := rng.Intn(4); k {
 				case 0:
 					op = "Consume"
 					mutated = mb.b.Consume(ta, j) == nil
 				case 1:
-					op = "ConsumeTraced"
-					steps, err := mb.b.ConsumeTraced(ta, j, nil)
-					if err == nil {
-						mb.trace = append(mb.trace, steps)
-						mutated = true
-					}
-				case 2:
-					op = "Refund"
-					if n := len(mb.trace); n > 0 {
-						i := rng.Intn(n)
-						steps := mb.trace[i]
-						mb.trace = append(mb.trace[:i], mb.trace[i+1:]...)
-						for s := len(steps) - 1; s >= 0; s-- {
-							mb.b.Refund(steps[s])
-						}
-						mutated = len(steps) > 0
-					}
-				case 3:
 					op = "Clone"
 					mb.snaps = append(mb.snaps, mb.b.Clone())
-				case 4:
+				case 2:
 					op = "CopyFrom"
 					if n := len(mb.snaps); n > 0 {
 						mb.b.CopyFrom(mb.snaps[rng.Intn(n)])
-						mb.trace = nil // refunds against a restored ledger are meaningless
 						mutated = true
 					}
 				default:

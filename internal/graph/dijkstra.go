@@ -13,8 +13,8 @@ type item struct {
 // searchHeap is a typed binary min-heap over items, ordered by dist.
 // It replaces container/heap: pushes and pops move concrete structs (no
 // interface{} boxing, so no per-push allocation), and the backing slice
-// is preallocated once per search — and reused across the many spur
-// searches of one Yen call.
+// is preallocated once and reused by every search that shares a
+// Scratch.
 type searchHeap struct {
 	items []item
 }

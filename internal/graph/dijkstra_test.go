@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -60,7 +61,7 @@ func TestShortestPathBasic(t *testing.T) {
 		t.Errorf("cost = %v, want 2", p.Cost)
 	}
 	wantNodes := []int{0, 1, 3}
-	if !equalNodes(p.Nodes, wantNodes) {
+	if !slices.Equal(p.Nodes, wantNodes) {
 		t.Errorf("nodes = %v, want %v", p.Nodes, wantNodes)
 	}
 	if p.Hops() != 2 {
@@ -106,7 +107,7 @@ func TestShortestPathSkipsInfEdges(t *testing.T) {
 	if !ok {
 		t.Fatal("no path")
 	}
-	if !equalNodes(p.Nodes, []int{0, 2, 1}) {
+	if !slices.Equal(p.Nodes, []int{0, 2, 1}) {
 		t.Errorf("path = %v, should avoid the +Inf edge", p.Nodes)
 	}
 }
@@ -129,7 +130,7 @@ func TestShortestPathWithTransitCosts(t *testing.T) {
 	if !ok {
 		t.Fatal("no path")
 	}
-	if !equalNodes(p.Nodes, []int{0, 2, 3}) {
+	if !slices.Equal(p.Nodes, []int{0, 2, 3}) {
 		t.Errorf("path = %v, want detour through node 2", p.Nodes)
 	}
 	if p.Cost != 5 { // 2 + 2 edges + 1 transit
@@ -153,7 +154,7 @@ func TestShortestPathTransitInfBlocksNode(t *testing.T) {
 	if !ok {
 		t.Fatal("no path")
 	}
-	if !equalNodes(p.Nodes, []int{0, 2, 3}) {
+	if !slices.Equal(p.Nodes, []int{0, 2, 3}) {
 		t.Errorf("path = %v, want route around blocked node", p.Nodes)
 	}
 }
@@ -282,7 +283,7 @@ func TestHopLimitedWithTransit(t *testing.T) {
 	if !ok {
 		t.Fatal("no path")
 	}
-	if !equalNodes(p.Nodes, []int{0, 2, 3}) {
+	if !slices.Equal(p.Nodes, []int{0, 2, 3}) {
 		t.Errorf("path = %v, want around expensive node", p.Nodes)
 	}
 }
@@ -345,7 +346,7 @@ func TestGraphCounts(t *testing.T) {
 	}
 }
 
-// Property: on random graphs, Dijkstra's result cost equals PathCost
+// Property: on random graphs, Dijkstra's result cost equals pathCost
 // recomputation, and is no worse than any single direct edge.
 func TestShortestPathCostConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -363,9 +364,9 @@ func TestShortestPathCostConsistency(t *testing.T) {
 		if !ok {
 			continue
 		}
-		recomputed := PathCost(p.Nodes, p.Edges, nil)
+		recomputed := pathCost(p.Nodes, p.Edges, nil)
 		if math.Abs(recomputed-p.Cost) > 1e-9 {
-			t.Fatalf("trial %d: PathCost %v != search cost %v", trial, recomputed, p.Cost)
+			t.Fatalf("trial %d: pathCost %v != search cost %v", trial, recomputed, p.Cost)
 		}
 		for _, e := range g.Neighbors(0) {
 			if e.To == n-1 && e.Cost < p.Cost-1e-9 {

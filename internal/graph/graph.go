@@ -2,8 +2,8 @@
 // needs: a compact adjacency-list digraph, Dijkstra shortest paths with
 // optional per-node *transit* costs that depend on the classes of the
 // incoming and outgoing edges (how CEAR prices satellite energy per
-// Eq. (1) of the paper), a hop-limited Bellman-Ford variant, BFS min-hop
-// search, and Yen's K-shortest-paths.
+// Eq. (1) of the paper), a hop-limited Bellman-Ford variant, and BFS
+// min-hop search.
 package graph
 
 import (

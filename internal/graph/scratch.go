@@ -8,7 +8,7 @@ import "math"
 // reversal buffers of path reconstruction. One Scratch serves any number
 // of sequential searches over graphs of any size (arrays grow on demand
 // and are retained at high-water mark), so a caller that owns one — an
-// admission algorithm, a Yen run — pays zero search allocations after
+// admission algorithm — pays zero search allocations after
 // warm-up beyond the returned Path itself.
 //
 // A Scratch is single-owner: two concurrent searches must use two

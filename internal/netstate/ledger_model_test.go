@@ -50,10 +50,10 @@ func (r *refLedger) at(key LinkKey, slot int) float64 {
 	return u[slot]
 }
 
-func (r *refLedger) congested(slot int, frac float64, owned func(LinkKey) bool) int {
+func (r *refLedger) congested(slot int, frac float64) int {
 	n := 0
 	for key, u := range r.used {
-		if slot < 0 || slot >= len(u) || (owned != nil && !owned(key)) {
+		if slot < 0 || slot >= len(u) {
 			continue
 		}
 		c := r.capOf(key)
@@ -64,18 +64,28 @@ func (r *refLedger) congested(slot int, frac float64, owned func(LinkKey) bool) 
 	return n
 }
 
+// keyView is a SlotView that maps every hop to one fixed link, so a
+// two-node path reserves exactly that link through Txn.ReservePath.
+type keyView struct {
+	key  LinkKey
+	slot int
+	rate float64
+}
+
+func (v keyView) LinkKeyFor(from, to int) LinkKey { return v.key }
+func (v keyView) Slot() int                       { return v.slot }
+func (v keyView) DemandMbps() float64             { return v.rate }
+
 // TestDenseLedgerMatchesMapModel drives a State through random direct
-// reservations, committed and rolled-back transactions, and two-phase
-// prepares settled by commit or abort (interleaved with other commits),
-// and after every step compares it with the map model: per-slot usage
-// of ISL keys, USL keys in both directions and a satellite pair the
-// +Grid does not connect; the active-link count; and the congested-link
-// counts, filtered and not. The flat view's dense-row edge prices are
-// checked against the generic view's key-resolved ones along the way.
+// reservations and committed and rolled-back transactions, and after
+// every step compares it with the map model: per-slot usage of ISL
+// keys, USL keys in both directions and a satellite pair the +Grid does
+// not connect; the active-link count; and the congested-link count.
+// The flat view's dense-row edge prices are checked against the generic
+// view's key-resolved ones along the way.
 func TestDenseLedgerMatchesMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		s := newTestState(t, twoCitySites(), false)
-		s.EnableTwoPhase()
 		prov := s.Provider()
 		horizon := prov.Horizon()
 		ref := &refLedger{horizon: horizon, capOf: s.LinkCapacityMbps, used: map[LinkKey][]float64{}}
@@ -100,7 +110,6 @@ func TestDenseLedgerMatchesMapModel(t *testing.T) {
 		if s.LinkCapacityMbps(MakeLinkKey(0, 50)) != prov.Config().ISLCapacityMbps {
 			t.Fatal("off-grid satellite pair should carry ISL capacity")
 		}
-		owned := func(k LinkKey) bool { return (k.From()+k.To())%2 == 0 }
 		draw := func() (LinkKey, int, float64) {
 			k := keys[rng.Intn(len(keys))]
 			frac := 0.05 + 0.5*rng.Float64()
@@ -127,77 +136,46 @@ func TestDenseLedgerMatchesMapModel(t *testing.T) {
 			}
 			for slot := -1; slot <= horizon; slot++ {
 				for _, frac := range []float64{0.1, 0.6} {
-					if got, want := s.CongestedLinkCount(slot, frac), ref.congested(slot, frac, nil); got != want {
+					if got, want := s.CongestedLinkCount(slot, frac), ref.congested(slot, frac); got != want {
 						t.Fatalf("seed %d step %d (%s): CongestedLinkCount(%d, %v) = %d, want %d", seed, step, op, slot, frac, got, want)
-					}
-					if got, want := s.CongestedLinkCountFunc(slot, frac, owned), ref.congested(slot, frac, owned); got != want {
-						t.Fatalf("seed %d step %d (%s): CongestedLinkCountFunc(%d, %v) = %d, want %d", seed, step, op, slot, frac, got, want)
 					}
 				}
 			}
 		}
 
-		var pending []*Prepared
-		var pendingLinks [][]linkReservation
+		hop := graph.Path{Nodes: []int{0, 1}}
 		for step := 0; step < 150; step++ {
 			var op string
-			switch k := rng.Intn(5); k {
+			switch k := rng.Intn(3); k {
 			case 0:
 				op = "ReserveLink"
 				key, slot, rate := draw()
 				if got, want := s.ReserveLink(key, slot, rate) == nil, ref.reserve(key, slot, rate); got != want {
 					t.Fatalf("seed %d step %d: ReserveLink ok=%v, model ok=%v", seed, step, got, want)
 				}
-			case 1, 2, 3:
+			default:
 				txn := s.Begin()
 				var applied []linkReservation
 				for n := rng.Intn(4) + 1; n > 0; n-- {
 					key, slot, rate := draw()
-					err := txn.ReserveLinkKey(key, slot, rate)
+					err := txn.ReservePath(keyView{key, slot, rate}, hop)
 					if ok := ref.reserve(key, slot, rate); ok != (err == nil) {
-						t.Fatalf("seed %d step %d: ReserveLinkKey ok=%v, model ok=%v", seed, step, err == nil, ok)
+						t.Fatalf("seed %d step %d: ReservePath ok=%v, model ok=%v", seed, step, err == nil, ok)
 					}
 					if err == nil {
 						applied = append(applied, linkReservation{key, slot, rate})
 					}
 				}
-				switch k {
-				case 1:
+				if k == 1 {
 					op = "Commit"
-					if err := txn.Commit(); err != nil {
-						t.Fatal(err)
-					}
-				case 2:
+					txn.Commit()
+				} else {
 					op = "Rollback"
 					txn.Rollback()
 					for _, r := range applied {
 						ref.release(r.key, r.slot, r.rate)
 					}
-				default:
-					op = "Prepare"
-					p, err := txn.Prepare()
-					if err != nil {
-						t.Fatal(err)
-					}
-					pending = append(pending, p)
-					pendingLinks = append(pendingLinks, applied)
 				}
-			default:
-				op = "Settle"
-				if len(pending) == 0 {
-					break
-				}
-				i := rng.Intn(len(pending))
-				if rng.Intn(2) == 0 {
-					pending[i].Commit()
-				} else {
-					pending[i].Abort()
-					for _, r := range pendingLinks[i] {
-						ref.release(r.key, r.slot, r.rate)
-					}
-				}
-				pending = append(pending[:i], pending[i+1:]...)
-				pendingLinks = append(pendingLinks[:i], pendingLinks[i+1:]...)
 			}
 			compare(step, op)
 			if step%25 == 0 {

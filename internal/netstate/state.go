@@ -185,13 +185,6 @@ type State struct {
 	txn txnScratch
 	// hot is the opt-in per-entity attribution state; see EnableHotspots.
 	hot hotspots
-
-	// Two-phase commit support (see prepare.go). All zero/nil — and the
-	// single-phase path unchanged — until EnableTwoPhase or
-	// SetCommitInterceptor is called.
-	twoPhase  bool
-	intercept CommitInterceptor
-	prep      prepareLedger
 }
 
 // stateInstruments caches the state's observability handles. All nil
@@ -199,7 +192,6 @@ type State struct {
 type stateInstruments struct {
 	txnCommits    *obs.Counter
 	txnRollbacks  *obs.Counter
-	txnPrepares   *obs.Counter
 	linkReserves  *obs.Counter
 	trialConsumes *obs.Counter
 	scratchReuses *obs.Counter
@@ -228,16 +220,14 @@ func (s *State) SetObs(reg *obs.Registry) {
 	s.instr = stateInstruments{
 		txnCommits:    reg.Counter("netstate.txn.commits"),
 		txnRollbacks:  reg.Counter("netstate.txn.rollbacks"),
-		txnPrepares:   reg.Counter("netstate.txn.prepares"),
 		linkReserves:  reg.Counter("netstate.link.reservations"),
 		trialConsumes: reg.Counter("netstate.trial_consumes"),
 		scratchReuses: reg.Counter("netstate.scratch.reuses"),
 		graph: &graph.Instruments{
-			HeapPops:          reg.Counter("graph.dijkstra.heap_pops"),
-			EdgeRelaxations:   reg.Counter("graph.edge_relaxations"),
-			YenSpurIterations: reg.Counter("graph.yen.spur_iterations"),
-			FastPathSearches:  reg.Counter("graph.fastpath.searches"),
-			PrunedLabels:      reg.Counter("graph.fastpath.pruned_labels"),
+			HeapPops:         reg.Counter("graph.dijkstra.heap_pops"),
+			EdgeRelaxations:  reg.Counter("graph.edge_relaxations"),
+			FastPathSearches: reg.Counter("graph.fastpath.searches"),
+			PrunedLabels:     reg.Counter("graph.fastpath.pruned_labels"),
 		},
 		energy: &energy.Instruments{
 			DeficitWalks:     reg.Counter("energy.deficit_walks"),
@@ -400,37 +390,25 @@ func (s *State) NumActiveLinks() int { return s.isl.numActive + len(s.links) }
 // is below thresholdFrac of capacity — the paper's "congestion link
 // number" metric with thresholdFrac = 0.1.
 func (s *State) CongestedLinkCount(slot int, thresholdFrac float64) int {
-	return s.CongestedLinkCountFunc(slot, thresholdFrac, nil)
-}
-
-// CongestedLinkCountFunc is CongestedLinkCount restricted to links the
-// filter accepts (nil accepts all). A sharded cluster sweeps each
-// shard's state over the links that shard owns, so the merged per-slot
-// metric counts every link exactly once even though every shard tracks
-// a full-constellation ledger.
-func (s *State) CongestedLinkCountFunc(slot int, thresholdFrac float64, owned func(LinkKey) bool) int {
 	count := 0
 	if slot >= 0 && slot < len(s.isl.rows) {
 		row := s.isl.rows[slot] // nil: no reservation, nothing congested
 		capMbps := s.isl.capMbps
-		csr := s.isl.csr
-		for from := 0; from < s.isl.numSats; from++ {
-			for e := int(csr.Offsets[from]); e < int(csr.Offsets[from+1]); e++ {
-				if !s.isl.active[e] || (owned != nil && !owned(MakeLinkKey(from, int(csr.To[e])))) {
-					continue
-				}
-				used := 0.0
-				if row != nil {
-					used = row[e]
-				}
-				if capMbps-used < thresholdFrac*capMbps {
-					count++
-				}
+		for e, active := range s.isl.active {
+			if !active {
+				continue
+			}
+			used := 0.0
+			if row != nil {
+				used = row[e]
+			}
+			if capMbps-used < thresholdFrac*capMbps {
+				count++
 			}
 		}
 	}
-	for key, l := range s.links {
-		if slot < 0 || slot >= len(l.used) || (owned != nil && !owned(key)) {
+	for _, l := range s.links {
+		if slot < 0 || slot >= len(l.used) {
 			continue
 		}
 		if l.capacityMbps-l.used[slot] < thresholdFrac*l.capacityMbps {
@@ -458,33 +436,6 @@ func (s *State) DepletedSatCount(slot int, thresholdFrac float64) int {
 // telemetry layer. Allocation-free.
 func (s *State) EnergyDeficitJ(slot int) float64 {
 	return energy.SumDeficitJ(s.batteries, slot)
-}
-
-// DepletedSatCountFunc is DepletedSatCount restricted to satellites the
-// filter accepts; the cluster-side complement of CongestedLinkCountFunc.
-func (s *State) DepletedSatCountFunc(slot int, thresholdFrac float64, owned func(sat int) bool) int {
-	count := 0
-	for sat, b := range s.batteries {
-		if !owned(sat) {
-			continue
-		}
-		if b.LevelAt(slot) < thresholdFrac*b.CapacityJ() {
-			count++
-		}
-	}
-	return count
-}
-
-// EnergyDeficitJFunc sums the outstanding deficit over owned satellites
-// only, for the cluster's merged energy-debt series.
-func (s *State) EnergyDeficitJFunc(slot int, owned func(sat int) bool) float64 {
-	total := 0.0
-	for sat, b := range s.batteries {
-		if owned(sat) {
-			total += b.DeficitAt(slot)
-		}
-	}
-	return total
 }
 
 // Consumption is one satellite energy draw: Joules consumed at Slot on

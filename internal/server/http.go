@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -39,6 +40,11 @@ func (s *Server) endpoint(e EndpointRef) (topology.Endpoint, error) {
 	return topology.Endpoint{Kind: kind, Index: e.Index}, nil
 }
 
+// maxBookBodyBytes bounds a POST /v1/book body. A BookRequest is a few
+// hundred bytes; anything past this limit is refused with HTTP 413
+// before it is buffered.
+const maxBookBodyBytes = 64 << 10
+
 // BookRequest is the body of POST /v1/book. DurationSlots sizes the
 // active window from the arrival slot; the three explicit slot fields
 // override it for replay against an arrival-driven (max speed) clock.
@@ -66,9 +72,6 @@ type BookRequest struct {
 type BookResponse struct {
 	Status      string       `json:"status"`
 	Reservation *Reservation `json:"reservation,omitempty"`
-	// Reason qualifies a shed response: "overloaded_shard" marks a dry
-	// per-shard token bucket (vs a full ingress queue, no reason).
-	Reason string `json:"reason,omitempty"`
 }
 
 // ConfigResponse is the body of GET /v1/config: what a load generator
@@ -131,6 +134,8 @@ func (s *Server) Register(mux *http.ServeMux) {
 // handleBook admits one booking synchronously: enqueue, wait for the
 // engine's decision, respond. A full queue responds immediately with
 // StatusOverloaded (HTTP 429) — explicit load shedding, never blocking.
+// A body over maxBookBodyBytes is refused with HTTP 413, malformed JSON
+// with HTTP 400.
 func (s *Server) handleBook(w http.ResponseWriter, r *http.Request) {
 	var rec *obs.TraceRec
 	var parseSpan int
@@ -139,8 +144,14 @@ func (s *Server) handleBook(w http.ResponseWriter, r *http.Request) {
 		parseSpan = rec.Begin(PhaseIngressParse, s.now())
 	}
 	var br BookRequest
-	if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBookBodyBytes)).Decode(&br); err != nil {
 		s.tracePool.Put(rec)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			errorJSON(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return
+		}
 		errorJSON(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return
 	}
@@ -170,14 +181,6 @@ func (s *Server) handleBook(w http.ResponseWriter, r *http.Request) {
 			s.auditWG.Done()
 		}
 		writeJSON(w, http.StatusTooManyRequests, BookResponse{Status: StatusOverloaded})
-		return
-	case errOverloadedShard:
-		s.sloAvail.Observe(false)
-		if s.tracing {
-			s.emitRefused(p, StatusOverloaded)
-			s.auditWG.Done()
-		}
-		writeJSON(w, http.StatusTooManyRequests, BookResponse{Status: StatusOverloaded, Reason: "overloaded_shard"})
 		return
 	case errDraining:
 		if s.tracing {
@@ -363,7 +366,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		pairs = append(pairs, PairRef{Src: refOf(p.Src), Dst: refOf(p.Dst)})
 	}
 	writeJSON(w, http.StatusOK, ConfigResponse{
-		Algorithm: s.cl.Algorithm(),
+		Algorithm: s.eng.Algorithm(),
 		Horizon:   s.horizon,
 		ClockRate: s.cfg.ClockRate,
 		Pairs:     pairs,

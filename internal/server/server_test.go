@@ -243,7 +243,7 @@ func TestOverloadSheds(t *testing.T) {
 	}()
 	// The engine parks on the gate having popped the first booking;
 	// wait until the queue is observably drained of it.
-	waitFor(t, func() bool { return s.cl.QueuedTotal() == 0 && s.ctrBatches.Value() == 0 })
+	waitFor(t, func() bool { return len(s.in) == 0 && s.ctrBatches.Value() == 0 })
 
 	// Fill the queue to capacity; these must enqueue without shedding.
 	resps := make([]chan BookResponse, 2)
@@ -255,7 +255,7 @@ func TestOverloadSheds(t *testing.T) {
 			ch <- out
 		}()
 	}
-	waitFor(t, func() bool { return s.cl.QueuedTotal() == 2 })
+	waitFor(t, func() bool { return len(s.in) == 2 })
 
 	// Queue full: the next bookings shed immediately.
 	const sheds = 3
@@ -313,7 +313,7 @@ func TestGracefulDrain(t *testing.T) {
 			ch <- out
 		}()
 	}
-	waitFor(t, func() bool { return s.cl.QueuedTotal() >= 1 && s.ctrBatches.Value() == 0 })
+	waitFor(t, func() bool { return len(s.in) >= 1 && s.ctrBatches.Value() == 0 })
 
 	done := make(chan error, 1)
 	go func() {
@@ -531,6 +531,72 @@ func TestAPIEndpoints(t *testing.T) {
 	// The admit-latency histogram saw the decided booking.
 	if got := reg.Histogram("server.admit_latency", nil).Count(); got < 1 {
 		t.Errorf("server.admit_latency count = %d, want >= 1", got)
+	}
+}
+
+// TestOversizedBookBodyRefused sends POST /v1/book bodies past the size
+// limit — one well-formed JSON object padded by a long request_id, one
+// unterminated — and expects HTTP 413 without a decision, then a
+// well-formed booking on the same server that is still decided.
+func TestOversizedBookBodyRefused(t *testing.T) {
+	s, hs := newTestServer(t, Config{Run: testRunConfig(t, 2, 10), QueueDepth: 8})
+	br := BookRequest{
+		Src:      EndpointRef{Kind: "ground", Index: 0},
+		Dst:      EndpointRef{Kind: "ground", Index: 3},
+		RateMbps: 800, DurationSlots: 2,
+	}
+	padded := br
+	padded.RequestID = string(bytes.Repeat([]byte("x"), maxBookBodyBytes))
+	wellFormed, err := json.Marshal(padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unterminated := append([]byte(`{"request_id":"`), bytes.Repeat([]byte("y"), 2*maxBookBodyBytes)...)
+	for name, body := range map[string][]byte{"well-formed": wellFormed, "unterminated": unterminated} {
+		resp, err := http.Post(hs.URL+"/v1/book", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var e map[string]string
+		decErr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s oversized body: HTTP %d, want 413", name, resp.StatusCode)
+		}
+		if decErr != nil || e["error"] == "" {
+			t.Errorf("%s oversized body: error envelope %v (decode err %v)", name, e, decErr)
+		}
+	}
+	if got := s.StatsSnapshot().Total; got != 0 {
+		t.Fatalf("oversized bodies reached the engine: %d decisions", got)
+	}
+
+	code, out := postBook(t, hs.URL, br)
+	if code != http.StatusOK || (out.Status != StatusAccepted && out.Status != StatusRejected) {
+		t.Fatalf("booking after oversized bodies: HTTP %d, %+v", code, out)
+	}
+	if got := s.StatsSnapshot().Total; got != 1 {
+		t.Fatalf("decisions = %d, want 1", got)
+	}
+}
+
+// TestNewRejectsShardCounts pins Config.Shards: admission runs on one
+// engine loop, so 0 and 1 build a server and anything else is refused.
+func TestNewRejectsShardCounts(t *testing.T) {
+	for _, n := range []int{2, 4, -1} {
+		if s, err := New(Config{Provider: testProvider(t), Run: testRunConfig(t, 2, 10), Shards: n}); err == nil {
+			_ = s.Shutdown(context.Background())
+			t.Errorf("New accepted Shards: %d", n)
+		}
+	}
+	for _, n := range []int{0, 1} {
+		s, err := New(Config{Provider: testProvider(t), Run: testRunConfig(t, 2, 10), Shards: n})
+		if err != nil {
+			t.Fatalf("Shards: %d: %v", n, err)
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

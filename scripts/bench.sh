@@ -22,12 +22,9 @@
 # "SpaceloadClosedLoopHotspots" with top-32 hot-spot tracking on
 # (attribution overhead), "SpaceloadClosedLoopSpec" with the request
 # pool generated from the specs/bench.json scenario spec (multi-class
-# mix overhead on the client side; the server path is identical), and
-# "SpaceloadClosedLoopShards{1,2,4,8}" — the cluster scaling sweep,
-# identical client load against spaced -shards N so the throughput
-# ratios measure shard-engine parallelism (two-phase commit overhead
-# included). Only benchmarks that report allocations produce complete
-# rows; the script passes -benchmem so every row is complete.
+# mix overhead on the client side; the server path is identical). Only
+# benchmarks that report allocations produce complete rows; the script
+# passes -benchmem so every row is complete.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -134,12 +131,6 @@ if [[ "$SERVE_DURATION" != "0" ]]; then
   SPACELOAD_EXTRA=(-spec specs/bench.json)
   serve_row SpaceloadClosedLoopSpec 4 -hotspots=false
   SPACELOAD_EXTRA=()
-  # Cluster scaling sweep: the same closed-loop client (16 in flight,
-  # enough to keep 8 shard loops busy) against spaced -shards N. The
-  # Shards1 row is the single-writer baseline the ratios divide by.
-  for n in 1 2 4 8; do
-    serve_row "SpaceloadClosedLoopShards$n" 16 -hotspots=false -shards "$n" -router round-robin
-  done
 fi
 
 {
